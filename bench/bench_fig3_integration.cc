@@ -26,17 +26,28 @@
 
 namespace {
 
+/// Exact FD work counters of one Integrate (integrate.fd.*).
+struct FdCounters {
+  uint64_t merges = 0;
+  uint64_t rows_scanned = 0;
+  uint64_t fixpoint_iterations = 0;
+};
+
 /// One timed Align + Integrate over `set`; wall micros are written to
-/// `*align_us` / `*integrate_us` (minimum over `reps` runs). Returns the
+/// `*align_us` / `*integrate_us` (minimum over `reps` runs). The timed runs
+/// carry no observability; one extra untimed Integrate with counters
+/// attached writes the FD work counters to `*counters`. Returns the
 /// integrated table, or an error.
 dialite::Result<dialite::Table> TimedIntegrate(
     const std::vector<const dialite::Table*>& set, int reps,
-    double* align_us, double* integrate_us) {
+    double* align_us, double* integrate_us, FdCounters* counters) {
   using Clock = std::chrono::steady_clock;
   dialite::Result<dialite::Table> out =
       dialite::Status::Internal("no integration rep ran");
   *align_us = -1.0;
   *integrate_us = -1.0;
+  dialite::Result<dialite::Alignment> last_alignment =
+      dialite::Status::Internal("no alignment rep ran");
   for (int r = 0; r < reps; ++r) {
     dialite::AliteMatcher matcher;
     auto t0 = Clock::now();
@@ -55,15 +66,28 @@ dialite::Result<dialite::Table> TimedIntegrate(
     if (*align_us < 0.0 || au < *align_us) *align_us = au;
     if (*integrate_us < 0.0 || iu < *integrate_us) *integrate_us = iu;
     out = std::move(result);
+    last_alignment = std::move(alignment);
   }
+  if (!last_alignment.ok()) return last_alignment.status();
+  dialite::ObservabilityContext obs;
+  dialite::FullDisjunction fd;
+  fd.set_observability(&obs);
+  auto counted = fd.Integrate(set, *last_alignment);
+  if (!counted.ok()) return counted.status();
+  const dialite::Metrics& m = obs.metrics();
+  counters->merges = m.CounterValue("integrate.fd.merges");
+  counters->rows_scanned = m.CounterValue("integrate.fd.rows_scanned");
+  counters->fixpoint_iterations =
+      m.CounterValue("integrate.fd.fixpoint_iterations");
   return out;
 }
 
 /// The integration trajectory: the paper's 3-table set plus a synthetic
 /// same-domain fragment set (all fragments of the generator's first
 /// domain), both integrated end to end. Deterministic outputs (row/column
-/// counts, the Fig. 3 alignment digest) are recorded exactly; wall times
-/// loosely; the integrate/align split as a same-run ratio.
+/// counts, the FD work counters, the Fig. 3 alignment digest) are recorded
+/// exactly; wall times loosely; the integrate/align split as a same-run
+/// ratio.
 int RunBenchJson(const std::string& path) {
   using namespace dialite;
   std::printf("\n=== bench-json: integration trajectory ===\n");
@@ -77,7 +101,8 @@ int RunBenchJson(const std::string& path) {
   Table t3 = paper::MakeT3();
   std::vector<const Table*> paper_set = {&t1, &t2, &t3};
   double au = 0.0, iu = 0.0;
-  auto fig3 = TimedIntegrate(paper_set, /*reps=*/3, &au, &iu);
+  FdCounters fdc;
+  auto fig3 = TimedIntegrate(paper_set, /*reps=*/3, &au, &iu, &fdc);
   if (!fig3.ok()) {
     std::printf("FAIL: fig3 integrate: %s\n", fig3.status().ToString().c_str());
     return 1;
@@ -87,6 +112,10 @@ int RunBenchJson(const std::string& path) {
   report.deterministic["fig3_match"] = fig3_match ? 1 : 0;
   report.deterministic["fig3_rows"] = fig3->num_rows();
   report.deterministic["fig3_columns"] = fig3->num_columns();
+  report.deterministic["fig3_fd_merges"] = fdc.merges;
+  report.deterministic["fig3_fd_rows_scanned"] = fdc.rows_scanned;
+  report.deterministic["fig3_fd_fixpoint_iterations"] =
+      fdc.fixpoint_iterations;
   report.timings_us["fig3_align"] = au;
   report.timings_us["fig3_integrate"] = iu;
   {
@@ -114,7 +143,7 @@ int RunBenchJson(const std::string& path) {
   }
   report.config["synth_fragments"] = synth_set.size();
   report.config["synth_seed"] = params.seed;
-  auto synth = TimedIntegrate(synth_set, /*reps=*/3, &au, &iu);
+  auto synth = TimedIntegrate(synth_set, /*reps=*/3, &au, &iu, &fdc);
   if (!synth.ok()) {
     std::printf("FAIL: synth integrate: %s\n",
                 synth.status().ToString().c_str());
@@ -122,6 +151,10 @@ int RunBenchJson(const std::string& path) {
   }
   report.deterministic["synth_rows"] = synth->num_rows();
   report.deterministic["synth_columns"] = synth->num_columns();
+  report.deterministic["synth_fd_merges"] = fdc.merges;
+  report.deterministic["synth_fd_rows_scanned"] = fdc.rows_scanned;
+  report.deterministic["synth_fd_fixpoint_iterations"] =
+      fdc.fixpoint_iterations;
   report.timings_us["synth_align"] = au;
   report.timings_us["synth_integrate"] = iu;
   // Same-run split between the two stages: machine-portable, trips when

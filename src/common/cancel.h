@@ -19,7 +19,8 @@ namespace dialite {
 ///
 /// Polling cost: one relaxed load when no deadline is set; one extra
 /// steady_clock read when one is. Poll at per-candidate granularity (µs+ of
-/// scoring work), not per element.
+/// scoring work); per-element loops poll through StridedCancelPoll, which
+/// reads the token once every StridedCancelPoll::kStride elements.
 class CancelToken {
  public:
   CancelToken() = default;
@@ -57,6 +58,36 @@ class CancelToken {
   mutable std::atomic<bool> cancelled_{false};
   int64_t deadline_ns_ = 0;   ///< steady-clock ns; valid iff has_deadline_
   bool has_deadline_ = false;
+};
+
+/// Amortised polling for per-element loops (a bucket scan, a pairwise
+/// sweep), where a steady_clock read per element would cost as much as the
+/// element itself. Cancelled() reads the token now and restarts the stride;
+/// StrideCancelled() reads it only on every kStride-th call, so a fired
+/// token is seen within kStride elements — microseconds of work when each
+/// element is a short row comparison. One poller per loop nest and thread;
+/// a null token never fires.
+class StridedCancelPoll {
+ public:
+  static constexpr uint32_t kStride = 1024;
+
+  explicit StridedCancelPoll(const CancelToken* token) : token_(token) {}
+
+  /// Reads the token now: once per worklist item, round or row.
+  [[nodiscard]] bool Cancelled() {
+    left_ = kStride;
+    return token_ != nullptr && token_->Cancelled();
+  }
+
+  /// Per-element poll: reads the token on every kStride-th call only.
+  [[nodiscard]] bool StrideCancelled() {
+    if (--left_ != 0) return false;
+    return Cancelled();
+  }
+
+ private:
+  const CancelToken* token_;
+  uint32_t left_ = kStride;
 };
 
 }  // namespace dialite

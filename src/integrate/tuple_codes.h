@@ -109,6 +109,41 @@ inline uint64_t CodedRowKey(const uint32_t* row, size_t width) {
   return h;
 }
 
+/// Per-tuple cell masks: bit c % 64 of word c / 64 stands for cell c, so a
+/// row of any width takes MaskWords(width) words.
+inline size_t MaskWords(size_t width) { return (width + 63) / 64; }
+
+/// Writes the mask of `row`'s non-null cells (`null_cells` false) or of its
+/// null cells (`null_cells` true) into `mask[0, MaskWords(width))`.
+inline void CodedCellMask(const uint32_t* row, size_t width, bool null_cells,
+                          uint64_t* mask) {
+  for (size_t w = 0; w < MaskWords(width); ++w) mask[w] = 0;
+  for (size_t c = 0; c < width; ++c) {
+    if (CodeIsNull(row[c]) == null_cells) {
+      mask[c / 64] |= uint64_t{1} << (c % 64);
+    }
+  }
+}
+
+/// True iff the masks share a set bit — e.g. a candidate's non-null mask
+/// against a tuple's null mask: the candidate could fill one of its nulls.
+inline bool MasksIntersect(const uint64_t* a, const uint64_t* b,
+                           size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
+/// True iff every bit of `a` is set in `b` — for non-null masks, a
+/// necessary condition for CodedSubsumedBy(a's row, b's row).
+inline bool MaskSubsetOf(const uint64_t* a, const uint64_t* b, size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    if ((a[w] & ~b[w]) != 0) return false;
+  }
+  return true;
+}
+
 }  // namespace dialite
 
 #endif  // DIALITE_INTEGRATE_TUPLE_CODES_H_

@@ -281,7 +281,7 @@ Policy TestPolicy() {
   Policy p;
   p.seeds = {"Handle"};
   p.hot = {"Score"};
-  p.cancel_polls = {"Cancelled"};
+  p.cancel_polls = {"Cancelled", "StrideCancelled"};
   p.blocking = {"sleep_for"};
   p.lock_guards = {"MutexLock"};
   p.status_types = {"Status"};
@@ -432,6 +432,30 @@ TEST(ChecksTest, StatusDropCatchesBindingAndBareCall) {
       "  return 1;\n"
       "}\n");
   EXPECT_EQ(CountCheck(consulted, "status-drop"), 0u);
+}
+
+TEST(ChecksTest, StridedPollSatisfiesNoCancel) {
+  // A per-element loop polls through StridedCancelPoll::StrideCancelled,
+  // which reads the token only every kStride calls; it still counts.
+  std::vector<Finding> strided = RunOn(
+      "int Score(int x);\n"
+      "int Handle(int n, StridedCancelPoll& poll) {\n"
+      "  int total = 0;\n"
+      "  for (int i = 0; i < n; ++i) {\n"
+      "    if (poll.StrideCancelled()) return total;\n"
+      "    total += Score(i);\n"
+      "  }\n"
+      "  return total;\n"
+      "}\n");
+  EXPECT_EQ(CountCheck(strided, "no-cancel"), 0u);
+  std::vector<Finding> unpolled = RunOn(
+      "int Score(int x);\n"
+      "int Handle(int n) {\n"
+      "  int total = 0;\n"
+      "  for (int i = 0; i < n; ++i) total += Score(i);\n"
+      "  return total;\n"
+      "}\n");
+  EXPECT_EQ(CountCheck(unpolled, "no-cancel"), 1u);
 }
 
 TEST(ChecksTest, HotAllocIsANoteAndRequiresHotLoop) {

@@ -480,5 +480,27 @@ TEST(CancelTokenTest, CancelVisibleAcrossThreads) {
   EXPECT_TRUE(seen.load());
 }
 
+TEST(StridedCancelPollTest, StrideSeesAFiredTokenWithinOneStride) {
+  CancelToken token;
+  StridedCancelPoll poll(&token);
+  EXPECT_FALSE(poll.Cancelled());
+  token.Cancel();
+  // The stride restarted at Cancelled(): the next kStride - 1 element polls
+  // skip the token, and the kStride-th reads it.
+  for (uint32_t i = 1; i < StridedCancelPoll::kStride; ++i) {
+    ASSERT_FALSE(poll.StrideCancelled()) << i;
+  }
+  EXPECT_TRUE(poll.StrideCancelled());
+  EXPECT_TRUE(poll.Cancelled());
+}
+
+TEST(StridedCancelPollTest, NullTokenNeverFires) {
+  StridedCancelPoll poll(nullptr);
+  EXPECT_FALSE(poll.Cancelled());
+  for (uint32_t i = 0; i < 3 * StridedCancelPoll::kStride; ++i) {
+    ASSERT_FALSE(poll.StrideCancelled()) << i;
+  }
+}
+
 }  // namespace
 }  // namespace dialite

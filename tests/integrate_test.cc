@@ -448,6 +448,97 @@ TEST(FdDeadlineTest, PreExpiredTokenAbortsBeforeFirstFixpointIteration) {
             0u);
 }
 
+/// Two tables joined only on a yes/no column, `n` rows per value on each
+/// side: A rows (v, a_i, ⊥), B rows (v, ⊥, b_j). The FD is every A×B pair
+/// that agrees on v — 2n² null-free rows.
+std::vector<Table> YesNoBlowUp(int n) {
+  std::vector<Table> tables;
+  tables.emplace_back("A", Schema::FromNames({"yn", "x"}));
+  tables.emplace_back("B", Schema::FromNames({"yn", "y"}));
+  for (int i = 0; i < 2 * n; ++i) {
+    const Value yn = Value::String(i % 2 == 0 ? "yes" : "no");
+    (void)tables[0].AddRow({yn, Value::Int(i)});
+    (void)tables[1].AddRow({yn, Value::Int(1000 + i)});
+  }
+  return tables;
+}
+
+Alignment AlignOnYesNo(const std::vector<const Table*>& tables) {
+  auto a = ManualAlignment({{{"A", 0}, {"B", 0}}}).Align(tables);
+  EXPECT_TRUE(a.ok()) << a.status().ToString();
+  return std::move(a).value();
+}
+
+TEST(FdBlowUpTest, YesNoJoinCountersAreExact) {
+  constexpr uint64_t n = 3;
+  std::vector<Table> storage = YesNoBlowUp(static_cast<int>(n));
+  std::vector<const Table*> tables = {&storage[0], &storage[1]};
+  FullDisjunction fd;
+  ObservabilityContext obs;
+  fd.set_observability(&obs);
+  auto r = fd.Integrate(tables, AlignOnYesNo(tables));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->num_rows(), 2 * n * n);
+  const Metrics& m = obs.metrics();
+  // Only the 4n input tuples have a null, so only they take a turn; the
+  // 2n² merges are null-free.
+  EXPECT_EQ(m.CounterValue("integrate.fd.fixpoint_iterations"), 4 * n);
+  // Per value v, the k-th A tuple's turn (k = 0..n-1) scans the n B tuples
+  // of v and the k·n merges of v made before it (the other A tuples fill
+  // none of its nulls), merging with the B tuples: n new rows. Its x bucket
+  // then holds those n rows, which it scans and re-merges — dropped as
+  // existing. A B tuple scans the n A tuples and the n² merges of v and
+  // merges with the A tuples and the n merges holding its own y, all of
+  // which exist. Summed: scans 2·Σk(2n + kn) + 2n(n + n²) = 3n³ + 5n²,
+  // merges 2n·2n + 2n·2n = 8n².
+  EXPECT_EQ(m.CounterValue("integrate.fd.rows_scanned"),
+            3 * n * n * n + 5 * n * n);
+  EXPECT_EQ(m.CounterValue("integrate.fd.merges"), 8 * n * n);
+  // Every output row carries the TIDs of exactly its A and its B tuple.
+  for (size_t row = 0; row < r->num_rows(); ++row) {
+    ASSERT_EQ(r->provenance(row).size(), 2u);
+    EXPECT_EQ(r->provenance(row)[0].substr(0, 2), "A#");
+    EXPECT_EQ(r->provenance(row)[1].substr(0, 2), "B#");
+  }
+}
+
+TEST(FdBlowUpTest, PreExpiredTokenAbortsBeforeFirstFixpointIteration) {
+  std::vector<Table> storage = YesNoBlowUp(3);
+  std::vector<const Table*> tables = {&storage[0], &storage[1]};
+  FullDisjunction fd;
+  ObservabilityContext obs;
+  fd.set_observability(&obs);
+  CancelToken cancel;
+  cancel.SetDeadlineAfter(std::chrono::nanoseconds(0));
+  auto r = fd.Integrate(tables, AlignOnYesNo(tables), &cancel);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(obs.metrics().CounterValue("integrate.fd.fixpoint_iterations"),
+            0u);
+}
+
+TEST(FdBlowUpTest, DeadlineExpiringMidFixpointAborts) {
+  // n = 400 makes 320k merges and about 2n³ = 128M candidate scans: far
+  // longer than the deadline, which therefore fires inside the fixpoint.
+  constexpr uint64_t n = 400;
+  std::vector<Table> storage = YesNoBlowUp(static_cast<int>(n));
+  std::vector<const Table*> tables = {&storage[0], &storage[1]};
+  const Alignment alignment = AlignOnYesNo(tables);
+  FullDisjunction fd;
+  ObservabilityContext obs;
+  fd.set_observability(&obs);
+  CancelToken cancel;
+  cancel.SetDeadlineAfter(std::chrono::milliseconds(50));
+  auto r = fd.Integrate(tables, alignment, &cancel);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
+      << r.status().ToString();
+  const uint64_t turns =
+      obs.metrics().CounterValue("integrate.fd.fixpoint_iterations");
+  EXPECT_GT(turns, 0u);
+  EXPECT_LT(turns, 4 * n);
+}
+
 TEST(FdDeadlineTest, EveryIntegrationOperatorHonoursPreExpiredToken) {
   Table t1 = paper::MakeT1();
   Table t2 = paper::MakeT2();

@@ -52,6 +52,27 @@ std::vector<Table> RandomFragments(uint64_t seed) {
   return tables;
 }
 
+/// Order-free rendering of every row with its null kinds and sorted TIDs.
+std::vector<std::string> RowsWithTids(const Table& t) {
+  std::vector<std::string> out;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    std::string s;
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      const Value v = t.at(r, c);
+      s += v.is_missing_null()    ? "±"
+           : v.is_produced_null() ? "⊥"
+                                  : v.ToCsvString();
+      s += '|';
+    }
+    std::vector<std::string> tids = t.provenance(r);
+    std::sort(tids.begin(), tids.end());
+    for (const std::string& tid : tids) s += tid + ',';
+    out.push_back(std::move(s));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 class FdPropertySweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FdPropertySweep, OutputIsSubsumptionFreeAndLossless) {
@@ -124,6 +145,11 @@ TEST_P(FdPropertySweep, ParallelNaiveIndexedAgree) {
   ASSERT_TRUE(parallel.ok());
   EXPECT_TRUE(indexed->SameRowsAs(*naive)) << "seed " << GetParam();
   EXPECT_TRUE(indexed->SameRowsAs(*parallel)) << "seed " << GetParam();
+  // SameRowsAs ignores provenance: compare each row's TIDs too.
+  EXPECT_EQ(RowsWithTids(*indexed), RowsWithTids(*naive))
+      << "seed " << GetParam();
+  EXPECT_EQ(RowsWithTids(*indexed), RowsWithTids(*parallel))
+      << "seed " << GetParam();
 }
 
 TEST_P(FdPropertySweep, FdCoversOuterJoinInformation) {

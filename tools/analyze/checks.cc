@@ -278,8 +278,8 @@ void CheckLockBlocking(const Project& project, const Policy& policy,
 /// hot-alloc [note severity]: per-iteration allocation inside a
 /// request-reachable loop that polls cancellation or calls a hot helper —
 /// i.e. a loop already known to be on the serving hot path. This is the
-/// inventory that seeds the per-query arena work (ROADMAP item 4); the
-/// committed baseline pins it so NEW allocations fail the CI diff gate.
+/// inventory that seeds the per-query arena work; the committed baseline
+/// pins it so NEW allocations fail the CI diff gate.
 void CheckHotLoopAlloc(const Project& project, const Policy& policy,
                        const DataFlow& flow,
                        const std::vector<size_t>& reachable,
@@ -328,8 +328,7 @@ void CheckHotLoopAlloc(const Project& project, const Policy& policy,
       out->push_back({pf.lex.path, loop.line, "hot-alloc",
                       "request-hot loop in '" + fn.qual_name +
                           "' allocates per iteration via: " + joined +
-                          "; arena-allocator work-list entry (ROADMAP "
-                          "item 4)",
+                          "; arena-allocator work-list entry",
                       Finding::Severity::kNote});
     }
   }
